@@ -5,14 +5,16 @@
 //     the target's cost before the first answer, then serves instantly;
 //   * catalog  — CatalogServer over a saved closure; pays only the mmap
 //     open, serving stored answers with zero enumeration;
-//   * search   — TopologySearchBackend; pays an iterative-deepening DFS per
-//     query but stores (almost) nothing.
+//   * search   — TopologySearchBackend; a fresh engine builds its forward
+//     table of binary-label images up to the levels the query needs, then
+//     meets it with a short backward DFS from the target. Later queries
+//     reuse the table, so only a cold engine pays the build.
 // The crossover is the point of the seam: the catalog wins on stored
 // answers, the closure wins on repeated queries it can amortize, and the
-// DFS is the only engine that answers past the closure's memory wall — the
-// 5-wire cost-4 row below is the regime where the in-memory closure would
-// need a ~2.5 GiB spill (PR 7 measurements) and the search answers from a
-// memo a couple of orders of magnitude smaller.
+// search is the only engine that answers past the closure's memory wall —
+// the 5-wire cost-4 row below is the regime where the in-memory closure
+// would need a ~2.5 GiB spill (PR 7 measurements) and the search answers
+// from a ~42k-state forward table of a few MiB.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -101,7 +103,7 @@ void regenerate() {
                    std::to_string(closure_seconds * 1e3) + " ms");
   bench::value_row("catalog (open + first answer)",
                    std::to_string(catalog_seconds * 1e3) + " ms");
-  bench::value_row("search (DFS first answer)",
+  bench::value_row("search (table + first answer)",
                    std::to_string(search_seconds * 1e3) + " ms");
 
   bench::section("Beyond the in-memory closure: 5-wire cost-4 target");
@@ -114,17 +116,17 @@ void regenerate() {
   bench::compare_row("5-wire Peres-embedded cost", 4,
                      wide_answer.has_value() ? wide_answer->cost : -1);
   bench::value_row("search time", std::to_string(wide_seconds) + " s");
-  const std::size_t memo_bytes =
+  const std::size_t table_bytes =
       wide_search.stats().peak_memo_rows * 2 * 32;  // 2-byte labels, 32 rows
-  bench::value_row("peak memo",
-                   std::to_string(memo_bytes >> 20) + " MiB (" +
+  bench::value_row("forward table",
+                   std::to_string(table_bytes >> 20) + " MiB (" +
                        std::to_string(wide_search.stats().peak_memo_rows) +
                        " states)");
   // PR 7's measured level-4 spill for the 5-wire closure was ~2.5 GiB.
   std::printf("  %-34s %s (closure needs ~2.5 GiB spilled)\n",
               "answered without a closure spill",
               bench::status_word(wide_answer.has_value() &&
-                                 memo_bytes < (std::size_t(1) << 28)));
+                                 table_bytes < (std::size_t(1) << 28)));
 }
 
 // One fresh closure per iteration: the sweep is the dominant cost, which is
@@ -148,7 +150,8 @@ void bm_first_cascade_catalog(benchmark::State& state) {
 }
 BENCHMARK(bm_first_cascade_catalog)->Unit(benchmark::kMillisecond);
 
-// DFS lane: a fresh engine per iteration (table build + deepening search).
+// Search lane: a fresh engine per iteration (forward table build + backward
+// search), i.e. the cold cost; a warm engine reuses its table.
 void bm_first_cascade_search(benchmark::State& state) {
   for (auto _ : state) {
     synth::SearchConfig config;

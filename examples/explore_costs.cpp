@@ -8,13 +8,13 @@
 //
 // Synthesis goes through the `synth::SynthesisBackend` seam, so the engine
 // is a command-line choice: the exhaustive FMCF closure (default) or the
-// topology-guided DFS, which answers the same costs without materializing
-// the closure.
+// meet-in-the-middle search, which answers the same costs without
+// materializing the closure.
 //
 // Usage:
 //   explore_costs                            # demo on famous gates
 //   explore_costs "(5,7,6,8)"                # synthesize one permutation
-//   explore_costs --engine=search "(5,7,6,8)"  # same answer via the DFS
+//   explore_costs --engine=search "(5,7,6,8)"  # same answer via the search
 #include <cstdio>
 #include <cstring>
 #include <memory>

@@ -56,9 +56,9 @@ int main() {
   const bool exact = sim::realizes_permutation(result->circuit, toffoli);
   std::printf("unitary check: %s\n", exact ? "exact" : "MISMATCH");
 
-  // 5. Cross-check with the second engine: the topology-guided DFS searches
-  //    per query instead of sweeping the whole closure, and being exact it
-  //    must land on the same minimal cost.
+  // 5. Cross-check with the second engine: the meet-in-the-middle search
+  //    stores only binary-label images instead of the whole closure, and
+  //    being exact it must land on the same minimal cost.
   synth::TopologySearchBackend search(library);
   const auto via_search = search.synthesize(toffoli);
   const bool agree = via_search.has_value() && via_search->cost == result->cost;

@@ -31,7 +31,7 @@
 # DIFFERS failure if the run ever stops spilling.
 #
 # bench_backends races the three SynthesisBackend engines on time to first
-# cascade (fresh closure sweep vs catalog open vs topology-search DFS) and
+# cascade (fresh closure sweep vs catalog open vs meet-in-the-middle search) and
 # carries the beyond-closure row (bm_search_5wire_cost4: a 5-wire cost-4
 # target answered in-memory where the closure would need a ~2.5 GiB spill).
 #

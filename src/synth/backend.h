@@ -12,9 +12,10 @@
 //     McExpressor. Fastest per query once the levels are computed (and
 //     instant over a persistent catalog), but memory-bound in the level
 //     width: the 5-wire closure needs gigabytes past k = 3.
-//   * TopologySearchBackend (synth/search/topology_search.h) — a DFS with
-//     pruning over gate cascades in the spirit of percy's fence enumeration.
-//     Stores almost nothing, so it reaches costs/widths the closure cannot
+//   * TopologySearchBackend (synth/search/topology_search.h) — a
+//     meet-in-the-middle search: a cached forward table of binary-label
+//     images plus a short backward DFS per query. It stores only what the
+//     binary labels reach, so it reaches costs/widths the closure cannot
 //     hold, at the price of searching per query.
 //   * CatalogServer::as_backend() (synth/catalog_server.h) — stored-answer
 //     serving over a reopened catalog, optionally falling back to a search
@@ -48,7 +49,7 @@ struct BackendInfo {
   /// backend may clear this).
   bool exact = true;
   /// locate()/synthesize() may do new enumeration work on a miss (the
-  /// closure deepens level by level; the DFS re-searches every query).
+  /// closure deepens level by level; the search runs per query).
   bool deepens_on_miss = false;
   /// The backend can enumerate *all* minimal implementations of a target,
   /// not just one witness (closure-specific today).
@@ -100,7 +101,7 @@ class SynthesisBackend {
 
   /// Batched synthesize: one answer per target, in order. The default loops
   /// over synthesize(); engines override when a batch can share work (the
-  /// DFS backend answers a whole batch from one deepening sweep).
+  /// catalog server fans a batch out over its worker pool).
   [[nodiscard]] virtual std::vector<std::optional<SynthesisResult>>
   synthesize_batch(const std::vector<perm::Permutation>& targets);
 };

@@ -98,12 +98,12 @@ void CatalogServer::set_fallback(std::shared_ptr<SynthesisBackend> fallback) {
                        fmcf_.library().domain().fingerprint(),
                "fallback backend serves a different library than the catalog");
   }
-  std::lock_guard guard(fallback_mutex_);
+  std::lock_guard guard(fallback_ptr_mutex_);
   fallback_ = std::move(fallback);
 }
 
 bool CatalogServer::has_fallback() const {
-  std::lock_guard guard(fallback_mutex_);
+  std::lock_guard guard(fallback_ptr_mutex_);
   return fallback_ != nullptr;
 }
 
@@ -113,9 +113,14 @@ std::unique_ptr<SynthesisBackend> CatalogServer::as_backend() {
 
 std::optional<SynthesisResult> CatalogServer::fallback_synthesize(
     const perm::Permutation& target) const {
-  std::lock_guard guard(fallback_mutex_);
-  if (fallback_ == nullptr) return std::nullopt;
-  return fallback_->synthesize(target);
+  std::shared_ptr<SynthesisBackend> fallback;
+  {
+    std::lock_guard guard(fallback_ptr_mutex_);
+    fallback = fallback_;
+  }
+  if (fallback == nullptr) return std::nullopt;
+  std::lock_guard guard(fallback_call_mutex_);
+  return fallback->synthesize(target);
 }
 
 std::optional<CatalogAnswer> CatalogServer::locate(

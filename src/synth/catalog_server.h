@@ -116,7 +116,8 @@ class CatalogServer {
   /// nullopt (locate() stays catalog-only — its answer is a storage
   /// location). The backend must serve the same library (enforced via the
   /// seam fingerprints; throws qsyn::LogicError). Fallback queries serialize
-  /// on an internal mutex; pass nullptr to unplug.
+  /// on an internal mutex; pass nullptr to unplug. Neither call waits for an
+  /// in-flight fallback query, which finishes on the backend it started on.
   void set_fallback(std::shared_ptr<SynthesisBackend> fallback);
   [[nodiscard]] bool has_fallback() const;
 
@@ -186,10 +187,13 @@ class CatalogServer {
   CatalogServerOptions options_;
   std::size_t wires_;
 
-  // Miss-path backend (set_fallback). Mutable + mutex: backends are stateful
-  // (a search backend accumulates stats, a closure backend may deepen), so
-  // const serving entry points serialize their fallback calls here.
-  mutable std::mutex fallback_mutex_;
+  // Miss-path backend (set_fallback). Backends are stateful (a search
+  // backend grows its forward table, a closure backend may deepen), so const
+  // serving entry points serialize their fallback calls on the call mutex.
+  // The pointer has its own mutex, held only to read or swap it, so
+  // has_fallback() and set_fallback() never wait behind an in-flight call.
+  mutable std::mutex fallback_call_mutex_;
+  mutable std::mutex fallback_ptr_mutex_;
   std::shared_ptr<SynthesisBackend> fallback_;
 
   // The server owns its pool: the enumerator's lazily created sweep pool is

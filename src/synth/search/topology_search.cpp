@@ -1,45 +1,16 @@
 #include "synth/search/topology_search.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
 
 namespace qsyn::synth {
 
-std::size_t TopologySearchBackend::StateKeyHash::operator()(
-    const StateKey& key) const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const std::uint64_t word : key) {
-    std::uint64_t x = word + h;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    h = x ^ (x >> 31);
-  }
-  return static_cast<std::size_t>(h);
-}
-
-/// Per-sweep scratch. The state stack holds limit+1 image tables in one
-/// buffer; banned masks and chosen gates are kept per depth so the commuting
-/// canonical-order check can consult the parent without recomputing.
-struct TopologySearchBackend::Run {
-  unsigned limit = 0;
-  std::vector<std::uint16_t> states;   // (limit + 1) x binary_count
-  std::vector<std::uint32_t> banned;   // per depth
-  std::vector<std::size_t> path;       // gate chosen at each depth
-  std::vector<std::uint8_t> encoded;   // one encoded row (scratch)
-  std::vector<std::uint16_t> swapped;  // commuting-check scratch state
-  VisitedSet memo;
-  // Open targets: encoded core state -> slots in the batch. Resolved slots
-  // record their witness path in `found` and leave the map.
-  std::unordered_map<StateKey, std::vector<std::size_t>, StateKeyHash> pending;
-  std::vector<std::vector<std::size_t>>* found = nullptr;  // per batch slot
-
-  Run(std::size_t binary_count, std::size_t label_range,
-      std::size_t memo_budget)
-      : memo(binary_count, label_range, memo_budget) {}
-};
+namespace {
+constexpr std::size_t kNoGate = ~std::size_t(0);
+}  // namespace
 
 TopologySearchBackend::TopologySearchBackend(const gates::GateLibrary& library,
                                              SearchConfig config)
@@ -48,23 +19,26 @@ TopologySearchBackend::TopologySearchBackend(const gates::GateLibrary& library,
       wires_(library.domain().wires()),
       width_(library.domain().size()),
       binary_count_(library.domain().binary_count()),
-      label_bytes_(width_ <= 256 ? 1 : 2) {
-  QSYN_CHECK(wires_ <= 5,
-             "topology search supports up to 5 wires (leaf keys pack 2^n "
-             "domain labels into 512 bits)");
+      label_bytes_(width_ <= 256 ? 1 : 2),
+      table_(binary_count_, width_, config.visited_budget_bytes) {
   const mvl::PatternDomain& domain = library.domain();
   const std::size_t gates = library.size();
+  QSYN_CHECK(gates <= 0xff, "the forward table records gates in one byte");
 
   gate_tables_.resize(gates);
+  gate_inverses_.resize(gates);
   gate_class_bits_.resize(gates);
   gate_adjoint_.resize(gates);
   for (std::size_t g = 0; g < gates; ++g) {
     const perm::Permutation& p = library.permutation(g);
     auto& table = gate_tables_[g];
+    auto& inverse = gate_inverses_[g];
     table.resize(width_);
+    inverse.resize(width_);
     for (std::size_t l = 0; l < width_; ++l) {
       table[l] = static_cast<std::uint16_t>(
           p.apply(static_cast<std::uint32_t>(l) + 1) - 1);
+      inverse[table[l]] = static_cast<std::uint16_t>(l);
     }
     gate_class_bits_[g] = 1u << library.banned_class_of(g);
     gate_adjoint_[g] = library.adjoint_index(g);
@@ -81,6 +55,19 @@ TopologySearchBackend::TopologySearchBackend(const gates::GateLibrary& library,
   for (std::size_t l = 0; l < width_; ++l) {
     label_banned_[l] = domain.banned_mask(static_cast<std::uint32_t>(l) + 1);
   }
+
+  // Level 0 is the identity state. When not even it fits the budget the
+  // table stays empty and every iteration matches against root_ directly.
+  std::vector<std::uint16_t> identity(binary_count_);
+  for (std::size_t s = 0; s < binary_count_; ++s) {
+    identity[s] = static_cast<std::uint16_t>(s);
+  }
+  root_.resize(binary_count_ * label_bytes_);
+  encoded_.resize(root_.size());
+  encode_state(identity.data(), root_.data());
+  (void)table_.admit(root_.data(), 0);
+  capped_ = table_.saturated();
+  level_end_.push_back(table_.rows());
 }
 
 BackendInfo TopologySearchBackend::info() const {
@@ -104,6 +91,17 @@ std::uint32_t TopologySearchBackend::banned_of(
   return banned;
 }
 
+bool TopologySearchBackend::admissible(std::size_t gate,
+                                       std::uint32_t banned) const {
+  return !config_.use_banned_sets || (banned & gate_class_bits_[gate]) == 0;
+}
+
+void TopologySearchBackend::apply(const std::vector<std::uint16_t>& table,
+                                  const std::uint16_t* in,
+                                  std::uint16_t* out) const {
+  for (std::size_t s = 0; s < binary_count_; ++s) out[s] = table[in[s]];
+}
+
 void TopologySearchBackend::encode_state(const std::uint16_t* state,
                                          std::uint8_t* out) const {
   for (std::size_t s = 0; s < binary_count_; ++s) {
@@ -111,147 +109,207 @@ void TopologySearchBackend::encode_state(const std::uint16_t* state,
   }
 }
 
-TopologySearchBackend::StateKey TopologySearchBackend::key_of(
-    const std::uint8_t* encoded) const {
-  StateKey key{};
-  std::memcpy(key.data(), encoded, binary_count_ * label_bytes_);
-  return key;
+void TopologySearchBackend::decode_state(const std::uint8_t* row,
+                                         std::uint16_t* out) const {
+  for (std::size_t s = 0; s < binary_count_; ++s) {
+    out[s] = static_cast<std::uint16_t>(
+        FlatPermStore::read_label(row, s, label_bytes_));
+  }
 }
 
-bool TopologySearchBackend::dfs(Run& run, unsigned depth,
-                                std::size_t last_gate) {
+unsigned TopologySearchBackend::forward_depth(unsigned depth) {
+  while (level_end_.size() - 1 < depth && !capped_) expand_level();
+  stats_.peak_memo_rows = table_.rows();
+  return std::min(depth, static_cast<unsigned>(level_end_.size() - 1));
+}
+
+void TopologySearchBackend::expand_level() {
   const std::size_t gates = gate_tables_.size();
-  const std::uint16_t* state = run.states.data() + depth * binary_count_;
-  const std::uint32_t banned = run.banned[depth];
+  const unsigned depth = static_cast<unsigned>(level_end_.size() - 1);
+  const std::size_t begin = depth == 0 ? 0 : level_end_[depth - 1];
+  const std::size_t end = level_end_[depth];
+  std::vector<std::uint16_t> state(binary_count_);
+  std::vector<std::uint16_t> parent(binary_count_);
+  std::vector<std::uint16_t> swapped(binary_count_);
+  std::vector<std::uint16_t> child(binary_count_);
+  for (std::size_t r = begin; r < end; ++r) {
+    decode_state(table_.row(r), state.data());
+    const std::uint32_t banned = banned_of(state.data());
+    const std::size_t last = depth == 0 ? kNoGate : table_.gate(r);
+    bool have_parent = false;
+    std::uint32_t parent_banned = 0;
+    ++stats_.nodes;
+    for (std::size_t g = 0; g < gates; ++g) {
+      if (!admissible(g, banned)) {
+        ++stats_.pruned_banned;
+        continue;
+      }
+      if (last != kNoGate) {
+        if (config_.prune_adjoint_pairs && g == gate_adjoint_[last]) {
+          ++stats_.pruned_adjoint;  // the pair cancels: never minimal
+          continue;
+        }
+        if (config_.prune_commuting_pairs && g < last &&
+            gate_commutes_[g * gates + last] != 0) {
+          // The ascending order (g, last) from the parent reaches the same
+          // child at the same depth when it is itself reasonable. If that
+          // expansion is skipped too, it is for a strictly larger gate, so
+          // the chain ends in a kept one and the child still enters this
+          // level.
+          if (!have_parent) {
+            apply(gate_inverses_[last], state.data(), parent.data());
+            parent_banned = banned_of(parent.data());
+            have_parent = true;
+          }
+          if (admissible(g, parent_banned)) {
+            apply(gate_tables_[g], parent.data(), swapped.data());
+            if (admissible(last, banned_of(swapped.data()))) {
+              ++stats_.pruned_commuting;
+              continue;
+            }
+          }
+        }
+      }
+      apply(gate_tables_[g], state.data(), child.data());
+      encode_state(child.data(), encoded_.data());
+      if (!table_.admit(encoded_.data(), depth + 1,
+                        static_cast<std::uint8_t>(g))) {
+        ++stats_.pruned_visited;
+        continue;
+      }
+      if (table_.saturated()) {
+        capped_ = true;  // level depth + 1 does not fit: never use it
+        return;
+      }
+    }
+  }
+  level_end_.push_back(table_.rows());
+}
+
+bool TopologySearchBackend::record_leaf(const std::uint8_t* encoded,
+                                        unsigned a) {
+  const std::size_t row = table_.find(encoded);
+  unsigned depth = 0;
+  if (row != VisitedSet::kAbsent) {
+    depth = table_.depth(row);
+  } else if (std::memcmp(encoded, root_.data(), root_.size()) != 0) {
+    return false;
+  }  // else the identity, at depth 0 in a table too small to hold it
+  if (depth < a || depth >= best_depth_) return false;
+  best_depth_ = depth;
+  best_row_ = row;
+  best_path_ = path_;
+  return depth == a;  // nothing shallower is left to find
+}
+
+bool TopologySearchBackend::backward(unsigned step, unsigned steps, unsigned a,
+                                     std::size_t next_gate) {
+  const std::size_t gates = gate_tables_.size();
+  const std::uint16_t* cur = states_.data() + step * binary_count_;
+  std::uint16_t* pred = states_.data() + (step + 1) * binary_count_;
   ++stats_.nodes;
   for (std::size_t g = 0; g < gates; ++g) {
-    if (config_.use_banned_sets && (banned & gate_class_bits_[g]) != 0) {
+    if (next_gate != kNoGate && config_.prune_adjoint_pairs &&
+        g == gate_adjoint_[next_gate]) {
+      ++stats_.pruned_adjoint;
+      continue;
+    }
+    apply(gate_inverses_[g], cur, pred);
+    const std::uint32_t pred_banned = banned_of(pred);
+    if (!admissible(g, pred_banned)) {
       ++stats_.pruned_banned;
       continue;
     }
-    if (depth > 0) {
-      if (config_.prune_adjoint_pairs && g == gate_adjoint_[last_gate]) {
-        ++stats_.pruned_adjoint;  // the pair cancels: never minimal
+    if (next_gate != kNoGate && config_.prune_commuting_pairs &&
+        g > next_gate && gate_commutes_[g * gates + next_gate] != 0 &&
+        admissible(next_gate, pred_banned)) {
+      // Keep the ascending order (next_gate, g) from pred when it is
+      // reasonable too: both orders end in the same state.
+      apply(gate_tables_[next_gate], pred, scratch_.data());
+      if (admissible(g, banned_of(scratch_.data()))) {
+        ++stats_.pruned_commuting;
         continue;
       }
-      if (config_.prune_commuting_pairs && g < last_gate &&
-          gate_commutes_[g * gates + last_gate] != 0) {
-        // Keep only the ascending order of the commuting pair — but only
-        // when the swap is itself a reasonable product, else this order is
-        // the lone representative. The swapped prefix needs g admissible at
-        // the parent and last_gate admissible after it.
-        const std::uint32_t parent_banned = run.banned[depth - 1];
-        if (!config_.use_banned_sets ||
-            (parent_banned & gate_class_bits_[g]) == 0) {
-          const std::uint16_t* parent =
-              run.states.data() + (depth - 1) * binary_count_;
-          const auto& table = gate_tables_[g];
-          for (std::size_t s = 0; s < binary_count_; ++s) {
-            run.swapped[s] = table[parent[s]];
-          }
-          if (!config_.use_banned_sets ||
-              (banned_of(run.swapped.data()) & gate_class_bits_[last_gate]) ==
-                  0) {
-            ++stats_.pruned_commuting;
-            continue;
-          }
-        }
-      }
     }
-    std::uint16_t* next = run.states.data() + (depth + 1) * binary_count_;
-    const auto& table = gate_tables_[g];
-    for (std::size_t s = 0; s < binary_count_; ++s) {
-      next[s] = table[state[s]];
-    }
-    if (depth + 1 == run.limit) {
+    path_[step] = g;
+    if (step + 1 == steps) {
       ++stats_.leaves;
-      encode_state(next, run.encoded.data());
-      const auto hit = run.pending.find(key_of(run.encoded.data()));
-      if (hit != run.pending.end()) {
-        run.path[depth] = g;
-        for (const std::size_t slot : hit->second) {
-          (*run.found)[slot].assign(run.path.begin(),
-                                    run.path.begin() + run.limit);
-        }
-        run.pending.erase(hit);
-        if (run.pending.empty()) return true;
-      }
+      encode_state(pred, encoded_.data());
+      if (record_leaf(encoded_.data(), a)) return true;
       continue;
     }
-    run.banned[depth + 1] = banned_of(next);
-    encode_state(next, run.encoded.data());
-    if (!run.memo.admit(run.encoded.data(), depth + 1)) {
-      ++stats_.pruned_visited;
-      continue;
-    }
-    run.path[depth] = g;
-    if (dfs(run, depth + 1, g)) return true;
+    if (backward(step + 1, steps, a, g)) return true;
   }
   return false;
 }
 
-std::vector<std::optional<SynthesisResult>>
-TopologySearchBackend::synthesize_batch(
-    const std::vector<perm::Permutation>& targets) {
-  std::vector<std::optional<SynthesisResult>> answers(targets.size());
-  std::vector<NotStripped> stripped(targets.size());
-
-  Run run(binary_count_, width_, config_.visited_budget_bytes);
-  std::vector<std::vector<std::size_t>> found(targets.size());
-  run.found = &found;
-  run.encoded.resize(binary_count_ * label_bytes_);
-  run.swapped.resize(binary_count_);
-
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    stripped[i] = strip_not_prefix(wires_, targets[i]);
-    if (stripped[i].core.is_identity()) {
-      answers[i] = assemble_result(wires_, stripped[i], gates::Cascade(wires_));
-      continue;
-    }
-    // Key the core by its 0-based image row over the binary labels — the
-    // exact state a matching leaf carries.
-    std::vector<std::uint16_t> goal(binary_count_);
-    for (std::size_t s = 0; s < binary_count_; ++s) {
-      goal[s] = static_cast<std::uint16_t>(
-          stripped[i].core.apply(static_cast<std::uint32_t>(s) + 1) - 1);
-    }
-    encode_state(goal.data(), run.encoded.data());
-    run.pending[key_of(run.encoded.data())].push_back(i);
+std::vector<std::size_t> TopologySearchBackend::forward_path(
+    std::size_t row) const {
+  std::vector<std::size_t> gates;
+  if (row == VisitedSet::kAbsent) return gates;  // the implicit identity
+  std::vector<std::uint16_t> state(binary_count_);
+  std::vector<std::uint8_t> encoded(table_.row_stride());
+  decode_state(table_.row(row), state.data());
+  for (unsigned depth = table_.depth(row); depth > 0; --depth) {
+    const std::size_t g = table_.gate(row);
+    gates.push_back(g);
+    if (depth == 1) break;
+    apply(gate_inverses_[g], state.data(), state.data());
+    encode_state(state.data(), encoded.data());
+    row = table_.find(encoded.data());
+    QSYN_CHECK(row != VisitedSet::kAbsent && table_.depth(row) == depth - 1,
+               "forward table lost a witness predecessor");
   }
-
-  for (unsigned limit = 1;
-       limit <= config_.max_cost && !run.pending.empty(); ++limit) {
-    run.limit = limit;
-    run.states.assign(static_cast<std::size_t>(limit + 1) * binary_count_, 0);
-    run.banned.assign(limit + 1, 0);
-    run.path.assign(limit, 0);
-    for (std::size_t s = 0; s < binary_count_; ++s) {
-      run.states[s] = static_cast<std::uint16_t>(s);
-    }
-    run.banned[0] = banned_of(run.states.data());
-    run.memo.clear();
-    encode_state(run.states.data(), run.encoded.data());
-    (void)run.memo.admit(run.encoded.data(), 0);  // identity prefixes recur
-    if (limit > stats_.deepest_iteration) stats_.deepest_iteration = limit;
-    (void)dfs(run, 0, 0);
-    if (run.memo.rows() > stats_.peak_memo_rows) {
-      stats_.peak_memo_rows = run.memo.rows();
-    }
-    // Assemble every target resolved in this iteration: its witness path is
-    // a minimal cascade (all shallower iterations completed without a hit).
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (answers[i].has_value() || found[i].empty()) continue;
-      gates::Cascade core(wires_);
-      for (const std::size_t g : found[i]) core.append(library_->gate(g));
-      answers[i] = assemble_result(wires_, stripped[i], std::move(core));
-    }
-  }
-  return answers;
+  std::reverse(gates.begin(), gates.end());
+  return gates;
 }
 
 std::optional<SynthesisResult> TopologySearchBackend::synthesize(
     const perm::Permutation& target) {
-  return synthesize_batch({target}).front();
+  const NotStripped stripped = strip_not_prefix(wires_, target);
+  if (stripped.core.is_identity()) {
+    return assemble_result(wires_, stripped, gates::Cascade(wires_));
+  }
+  // The core's 0-based image row over the binary labels: the exact state a
+  // matching cascade ends in.
+  states_.resize(binary_count_);
+  for (std::size_t s = 0; s < binary_count_; ++s) {
+    states_[s] = static_cast<std::uint16_t>(
+        stripped.core.apply(static_cast<std::uint32_t>(s) + 1) - 1);
+  }
+  scratch_.resize(binary_count_);
+  for (unsigned limit = 1; limit <= config_.max_cost;) {
+    const unsigned a = forward_depth(limit - 1);
+    const unsigned steps = limit - a;
+    // Iterations limit..deepest + steps walk the same backward tree: with one
+    // step every built level serves one of them, and past the table
+    // (steps > 1) deepest == a. So one walk accepts leaves at depths
+    // a..deepest, and its shallowest leaf (the first found on ties) is the
+    // first of those iterations to hit. The table is never built past
+    // max_cost - 1, so no accepted leaf costs more than max_cost.
+    const auto deepest = static_cast<unsigned>(level_end_.size() - 1);
+    states_.resize(static_cast<std::size_t>(steps + 1) * binary_count_);
+    path_.resize(steps);
+    best_depth_ = deepest + 1;
+    (void)backward(0, steps, a, kNoGate);
+    const bool hit = best_depth_ <= deepest;
+    const unsigned reached = (hit ? best_depth_ : deepest) + steps;
+    stats_.deepest_iteration = std::max(stats_.deepest_iteration, reached);
+    if (!hit) {
+      limit = reached + 1;
+      continue;
+    }
+    // Every shallower iteration completed without a hit: minimal.
+    gates::Cascade core(wires_);
+    for (const std::size_t g : forward_path(best_row_)) {
+      core.append(library_->gate(g));
+    }
+    for (std::size_t i = steps; i-- > 0;) {
+      core.append(library_->gate(best_path_[i]));
+    }
+    return assemble_result(wires_, stripped, std::move(core));
+  }
+  return std::nullopt;
 }
 
 std::optional<BackendAnswer> TopologySearchBackend::locate(

@@ -8,6 +8,14 @@ namespace qsyn::synth {
 
 namespace {
 constexpr std::size_t kInitialSlots = 1u << 10;  // power of two
+constexpr std::uint64_t kTagMask = 0xffffffff00000000ull;
+constexpr std::uint64_t kRowMask = 0xffffffffull;
+
+// A slot packs the row index + 1 (0 = empty) under the high half of the
+// row's hash, so a probe reads a stored row only when the hashes agree.
+std::uint64_t pack_slot(std::uint64_t hash, std::size_t row) {
+  return (hash & kTagMask) | (row + 1);
+}
 }  // namespace
 
 VisitedSet::VisitedSet(std::size_t width, std::size_t label_range,
@@ -36,32 +44,53 @@ std::uint64_t VisitedSet::hash_row(const std::uint8_t* row) const {
   return h;
 }
 
-bool VisitedSet::admit(const std::uint8_t* row, unsigned depth) {
-  QSYN_CHECK(depth <= 0xff, "search depth exceeds the memo's depth field");
+std::size_t VisitedSet::probe(const std::uint8_t* row,
+                              std::uint64_t hash) const {
   const std::size_t stride = store_.row_stride();
-  std::size_t i = static_cast<std::size_t>(hash_row(row)) & slot_mask_;
+  std::size_t i = static_cast<std::size_t>(hash) & slot_mask_;
   while (true) {
-    const std::uint32_t slot = slots_[i];
-    if (slot == 0) {
-      if (budget_bytes_ != 0 && store_.size_bytes() + stride > budget_bytes_) {
-        saturated_ = true;  // explore, but stop recording
-        return true;
-      }
-      store_.push_back(row);
-      depths_.push_back(static_cast<std::uint8_t>(depth));
-      slots_[i] = static_cast<std::uint32_t>(store_.size());
-      if (store_.size() * 10 >= slots_.size() * 7) grow_index();
-      return true;
-    }
-    if (std::memcmp(store_.row(slot - 1), row, stride) == 0) {
-      if (depth < depths_[slot - 1]) {
-        depths_[slot - 1] = static_cast<std::uint8_t>(depth);
-        return true;  // strictly more remaining budget: re-explore
-      }
-      return false;
+    const std::uint64_t slot = slots_[i];
+    if (slot == 0) return i;
+    if ((slot & kTagMask) == (hash & kTagMask) &&
+        std::memcmp(store_.data() + ((slot & kRowMask) - 1) * stride, row,
+                    stride) == 0) {
+      return i;
     }
     i = (i + 1) & slot_mask_;
   }
+}
+
+bool VisitedSet::admit(const std::uint8_t* row, unsigned depth,
+                       std::uint8_t gate) {
+  QSYN_CHECK(depth <= 0xff, "search depth exceeds the table's depth field");
+  const std::uint64_t hash = hash_row(row);
+  const std::size_t i = probe(row, hash);
+  if (slots_[i] == 0) {
+    const std::size_t stride = store_.row_stride();
+    if (budget_bytes_ != 0 && store_.size_bytes() + stride > budget_bytes_) {
+      saturated_ = true;  // explore, but stop recording
+      return true;
+    }
+    QSYN_CHECK(store_.size() < kRowMask, "search table exceeds 2^32 rows");
+    slots_[i] = pack_slot(hash, store_.size());
+    store_.push_back(row);
+    depths_.push_back(static_cast<std::uint8_t>(depth));
+    gates_.push_back(gate);
+    if (store_.size() * 10 >= slots_.size() * 7) grow_index();
+    return true;
+  }
+  const std::size_t r = (slots_[i] & kRowMask) - 1;
+  if (depth < depths_[r]) {
+    depths_[r] = static_cast<std::uint8_t>(depth);
+    gates_[r] = gate;
+    return true;  // strictly more remaining budget: re-explore
+  }
+  return false;
+}
+
+std::size_t VisitedSet::find(const std::uint8_t* row) const {
+  const std::uint64_t slot = slots_[probe(row, hash_row(row))];
+  return slot == 0 ? kAbsent : (slot & kRowMask) - 1;
 }
 
 void VisitedSet::grow_index() {
@@ -69,23 +98,11 @@ void VisitedSet::grow_index() {
   slots_.assign(new_size, 0);
   slot_mask_ = new_size - 1;
   for (std::size_t r = 0; r < store_.size(); ++r) {
-    std::size_t i = static_cast<std::size_t>(hash_row(store_.row(r))) &
-                    slot_mask_;
+    const std::uint64_t hash = hash_row(store_.row(r));
+    std::size_t i = static_cast<std::size_t>(hash) & slot_mask_;
     while (slots_[i] != 0) i = (i + 1) & slot_mask_;
-    slots_[i] = static_cast<std::uint32_t>(r + 1);
+    slots_[i] = pack_slot(hash, r);
   }
-}
-
-void VisitedSet::clear() {
-  store_.clear_keep_capacity();
-  depths_.clear();
-  std::memset(slots_.data(), 0, slots_.size() * sizeof(std::uint32_t));
-  saturated_ = false;
-}
-
-std::size_t VisitedSet::memory_bytes() const {
-  return store_.memory_bytes() + depths_.capacity() +
-         slots_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace qsyn::synth

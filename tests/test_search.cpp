@@ -1,17 +1,25 @@
-// Tests for the SynthesisBackend seam and the topology-guided DFS engine:
-// ClosureBackend answers must be byte-identical to the bare McExpressor,
-// and TopologySearchBackend must agree with the closure on cost for every
-// closure-reachable target (the cross-backend differential), while reaching
-// widths/costs the in-memory closure cannot hold (the 5-wire acceptance
-// case).
+// Tests for the SynthesisBackend seam and the meet-in-the-middle search
+// engine: ClosureBackend answers must be byte-identical to the bare
+// McExpressor, and TopologySearchBackend must agree with the closure on cost
+// for every closure-reachable target at every forward-table depth (the
+// cross-backend differentials), answer the same circuit whatever it was
+// asked before, and reach widths/costs the in-memory closure cannot hold
+// (the 5-wire acceptance case).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "gates/cascade.h"
 #include "gates/library.h"
 #include "mvl/domain.h"
 #include "perm/permutation.h"
@@ -74,28 +82,35 @@ TEST(VisitedSet, BudgetStopsRecordingButKeepsExploring) {
   EXPECT_FALSE(memo.admit(row, 1));  // recorded states still prune
 }
 
-TEST(VisitedSet, ClearForgetsStatesAndSaturation) {
-  VisitedSet memo(8, 38, /*budget_bytes=*/8);
-  std::uint8_t row[8] = {0};
-  EXPECT_TRUE(memo.admit(row, 0));
-  row[0] = 1;
-  EXPECT_TRUE(memo.admit(row, 0));
-  EXPECT_TRUE(memo.saturated());
-  memo.clear();
-  EXPECT_FALSE(memo.saturated());
-  EXPECT_EQ(memo.rows(), 0u);
-  EXPECT_TRUE(memo.admit(row, 4));  // unseen again after clear
+TEST(VisitedSet, FindReturnsRecordedDepthAndGate) {
+  VisitedSet table(8, 38, /*budget_bytes=*/0);
+  const std::uint8_t a[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::uint8_t b[8] = {1, 0, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(table.find(a), VisitedSet::kAbsent);
+  EXPECT_TRUE(table.admit(a, 0));
+  EXPECT_TRUE(table.admit(b, 2, /*gate=*/17));
+  const std::size_t row = table.find(b);
+  ASSERT_NE(row, VisitedSet::kAbsent);
+  EXPECT_EQ(table.depth(row), 2u);
+  EXPECT_EQ(table.gate(row), 17u);
+  EXPECT_EQ(std::memcmp(table.row(row), b, 8), 0);
+  EXPECT_TRUE(table.admit(b, 1, /*gate=*/3));  // lowered: takes the new gate
+  EXPECT_EQ(table.depth(row), 1u);
+  EXPECT_EQ(table.gate(row), 3u);
+  EXPECT_EQ(table.find(a), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // ClosureBackend: a transparent adapter over McExpressor
 
+const gates::GateLibrary& library3() {
+  static const gates::GateLibrary library = gates::GateLibrary::standard(3);
+  return library;
+}
+
 class Backend3 : public ::testing::Test {
  protected:
-  static const gates::GateLibrary& lib() {
-    static const gates::GateLibrary library = gates::GateLibrary::standard(3);
-    return library;
-  }
+  static const gates::GateLibrary& lib() { return library3(); }
 };
 
 TEST_F(Backend3, ClosureBackendMatchesBareExpressorByteForByte) {
@@ -269,9 +284,9 @@ TEST_F(Backend3, DifferentialEveryClosureTargetAtCb5) {
 }
 
 TEST_F(Backend3, PruningAblationsAgreeOnCosts) {
-  // The canonical-order prunes and the memo are exactness-preserving: with
-  // everything disabled the (much slower) plain banned-set DFS must report
-  // the same costs.
+  // The canonical-order prunes are exactness-preserving: with them disabled
+  // and no room for a forward table, the (much slower) backward-only
+  // banned-set DFS must report the same costs.
   const std::vector<perm::Permutation> targets = {
       peres_perm(), g2_perm(), g3_perm(), g4_perm(), swap_bc_perm()};
   SearchConfig pruned;
@@ -280,7 +295,7 @@ TEST_F(Backend3, PruningAblationsAgreeOnCosts) {
   plain.max_cost = 4;
   plain.prune_adjoint_pairs = false;
   plain.prune_commuting_pairs = false;
-  plain.visited_budget_bytes = 1;  // memo saturates immediately
+  plain.visited_budget_bytes = 1;  // no forward level fits
   TopologySearchBackend fast(lib(), pruned);
   TopologySearchBackend slow(lib(), plain);
   for (const auto& target : targets) {
@@ -313,7 +328,7 @@ TEST_F(Backend3, BatchMixesCosetsAndDuplicates) {
   EXPECT_EQ(answers[0]->cost, 4u);
   EXPECT_EQ(answers[1]->cost, 0u);
   EXPECT_EQ(answers[2]->cost, 4u);
-  EXPECT_EQ(answers[0]->circuit, answers[2]->circuit);  // same sweep, same hit
+  EXPECT_EQ(answers[0]->circuit, answers[2]->circuit);  // same answer
   EXPECT_EQ(answers[3]->cost, 4u);
   EXPECT_EQ(answers[4]->cost, 0u);
 }
@@ -429,6 +444,351 @@ TEST_F(Backend3, ConcurrentMissesSerializeOnTheFallback) {
   EXPECT_EQ(failures, std::vector<int>(4, 0));
 }
 
+/// A fallback whose synthesize() blocks until released, so a test can hold
+/// one fallback call in flight.
+class BlockingFallback final : public SynthesisBackend {
+ public:
+  explicit BlockingFallback(const gates::GateLibrary& library)
+      : library_(&library) {}
+
+  [[nodiscard]] const gates::GateLibrary& library() const override {
+    return *library_;
+  }
+  [[nodiscard]] unsigned max_cost() const override { return 8; }
+  [[nodiscard]] BackendInfo info() const override {
+    BackendInfo info;
+    info.name = "blocking";
+    info.max_cost = max_cost();
+    info.library_fingerprint = library_->fingerprint();
+    info.domain_fingerprint = library_->domain().fingerprint();
+    return info;
+  }
+  [[nodiscard]] std::optional<BackendAnswer> locate(
+      const perm::Permutation& /*target*/) override {
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<SynthesisResult> synthesize(
+      const perm::Permutation& /*target*/) override {
+    entered_.set_value();
+    release_future_.wait();
+    return std::nullopt;
+  }
+
+  void wait_entered() { entered_future_.wait(); }
+  void release() { release_.set_value(); }
+
+ private:
+  const gates::GateLibrary* library_;
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::future<void> release_future_ = release_.get_future();
+};
+
+TEST_F(Backend3, InFlightFallbackDoesNotBlockIntrospectionOrReplugging) {
+  CatalogServer server = make_server4(lib());
+  const auto blocking = std::make_shared<BlockingFallback>(lib());
+  server.set_fallback(blocking);
+  const auto adapter = server.as_backend();
+  std::thread miss([&] { (void)server.synthesize(toffoli_perm()); });
+  blocking->wait_entered();
+  // The miss holds the fallback call; none of these may wait for it.
+  auto probe = std::async(std::launch::async, [&] {
+    const bool plugged = server.has_fallback();
+    const bool deepens = adapter->info().deepens_on_miss;
+    server.set_fallback(make_search_fallback(lib()));
+    return plugged && deepens && server.has_fallback();
+  });
+  const bool finished = probe.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  blocking->release();
+  miss.join();
+  ASSERT_TRUE(finished) << "has_fallback/info/set_fallback waited for an "
+                           "in-flight fallback call";
+  EXPECT_TRUE(probe.get());
+  // The replacement answers the next miss.
+  const auto result = server.synthesize(toffoli_perm());
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->cost, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Exactness differentials at every forward-table depth. The search must put
+// each target at its known cost whether the table reaches the last level an
+// iteration can use (one backward step per iteration), stops at depth 4 (up
+// to five backward steps), or cannot grow at all (backward only).
+
+/// The NOT layer flipping the wires set in `mask`, as a permutation of the
+/// 3-wire binary labels {1..8}.
+perm::Permutation not_layer3(std::uint32_t mask) {
+  std::vector<std::uint32_t> images(8);
+  for (std::uint32_t l = 0; l < 8; ++l) images[l] = (l ^ mask) + 1;
+  return perm::Permutation::from_images(std::move(images));
+}
+
+/// The cb = 7 closure of the 3-wire library, built once per process.
+const FmcfEnumerator& closure7() {
+  static const FmcfEnumerator closure = [] {
+    FmcfEnumerator enumerator(library3());
+    enumerator.run_to(7);
+    return enumerator;
+  }();
+  return closure;
+}
+
+/// Every core g * c with g in G[7] and c a CNOT that the cb = 7 closure
+/// does not hold: the closure proves cost > 7 and the witness plus the CNOT
+/// realizes it with 8 gates, so each costs exactly 8.
+const std::vector<perm::Permutation>& cost8_cores() {
+  static const std::vector<perm::Permutation> cores = [] {
+    std::vector<perm::Permutation> out;
+    for (const perm::Permutation& g : closure7().g_set(7)) {
+      for (const std::size_t f : library3().feynman_indices()) {
+        gates::Cascade cnot(3);
+        cnot.append(library3().gate(f));
+        perm::Permutation core = g * cnot.to_binary_permutation();
+        if (!closure7().find(core)) out.push_back(std::move(core));
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }();
+  return cores;
+}
+
+/// Rows of the 3-wire forward table through depth 4 and through depth 5
+/// (1 + 18 + 144 + 633 + 1830, plus 3366): a 32 KiB budget holds the first
+/// and not the second, so that table stops at depth 4.
+constexpr std::size_t kRowsToDepth4 = 2626;
+constexpr std::size_t kRowsToDepth5 = 5992;
+constexpr std::size_t kDepth4Budget = std::size_t(32) << 10;
+
+struct TableBudget {
+  const char* name;
+  std::size_t bytes;
+  /// Members checked per G level and cost-8 cores checked (0 = all): a
+  /// backward-only query costs up to ~0.5 s at cost 8, so that variant
+  /// checks evenly spaced samples.
+  std::size_t per_level;
+  std::size_t cost8_cores;
+};
+
+std::string budget_name(const ::testing::TestParamInfo<TableBudget>& info) {
+  return info.param.name;
+}
+
+/// `count` evenly spaced members of `items` (all of them when count is 0).
+template <typename T>
+std::vector<T> spaced_sample(const std::vector<T>& items, std::size_t count) {
+  if (count == 0 || count >= items.size()) return items;
+  std::vector<T> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(items[i * items.size() / count]);
+  }
+  return out;
+}
+
+/// A result realizes `target` at exactly `cost` gates.
+void expect_realizes(const std::optional<SynthesisResult>& result,
+                     const perm::Permutation& target, unsigned cost) {
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->cost, cost);
+  EXPECT_EQ(result->core.size(), cost);
+  EXPECT_EQ(result->circuit.to_binary_permutation(), target);
+}
+
+class SearchExactness : public ::testing::TestWithParam<TableBudget> {
+ protected:
+  static SearchConfig config(unsigned max_cost) {
+    SearchConfig config;
+    config.max_cost = max_cost;
+    config.visited_budget_bytes = GetParam().bytes;
+    return config;
+  }
+};
+
+TEST_P(SearchExactness, EveryGMemberGetsItsClosureCost) {
+  TopologySearchBackend search(library3(), config(7));
+  std::size_t checked = 0;
+  for (unsigned k = 0; k <= 7; ++k) {
+    for (const perm::Permutation& member :
+         spaced_sample(closure7().g_set(k), GetParam().per_level)) {
+      SCOPED_TRACE("G[" + std::to_string(k) + "] member " +
+                   member.to_cycle_string());
+      expect_realizes(search.synthesize(member), member, k);
+      ++checked;
+    }
+  }
+  if (GetParam().per_level == 0) {
+    EXPECT_EQ(checked, 1260u);  // Table 2's total
+  }
+  if (GetParam().bytes == kDepth4Budget) {
+    EXPECT_GE(search.stats().peak_memo_rows, kRowsToDepth4);
+    EXPECT_LT(search.stats().peak_memo_rows, kRowsToDepth5);
+  } else if (GetParam().bytes == 1) {
+    EXPECT_EQ(search.stats().peak_memo_rows, 0u);
+  }
+}
+
+TEST_P(SearchExactness, Cost8CoresAnswerAtEightAndMissAtSeven) {
+  ASSERT_EQ(cost8_cores().size(), 84u);
+  TopologySearchBackend search(library3(), config(8));
+  TopologySearchBackend shallow(library3(), config(7));
+  // Backward-only queries skip the coset sweep: every coset shares the core.
+  const std::uint32_t masks = GetParam().cost8_cores == 0 ? 8 : 2;
+  for (const perm::Permutation& core :
+       spaced_sample(cost8_cores(), GetParam().cost8_cores)) {
+    for (std::uint32_t mask = 0; mask < masks; ++mask) {
+      const perm::Permutation target = not_layer3(mask * 3 % 8) * core;
+      SCOPED_TRACE("target " + target.to_cycle_string());
+      expect_realizes(search.synthesize(target), target, 8);
+      EXPECT_FALSE(shallow.locate(target).has_value());
+    }
+  }
+}
+
+const TableBudget kFullTable{"FullTable", SearchConfig{}.visited_budget_bytes,
+                             0, 0};
+const TableBudget kTableToDepth4{"TableToDepth4", kDepth4Budget, 0, 0};
+const TableBudget kBackwardOnly{"BackwardOnly", 1, 8, 1};
+
+INSTANTIATE_TEST_SUITE_P(TableDepths, SearchExactness,
+                         ::testing::Values(kFullTable, kTableToDepth4,
+                                           kBackwardOnly),
+                         budget_name);
+
+/// A seeded sample of cost-9 cores: random cores outside the cb = 7 closure
+/// that a full-table search places at 9. The old iterative-deepening DFS
+/// agreed on every cost-8 core and on a sample of cost-9 cores; here the
+/// depth-4 table, which reaches cost 9 through five backward steps, is the
+/// independent check.
+const std::vector<perm::Permutation>& cost9_sample() {
+  static const std::vector<perm::Permutation> sample = [] {
+    SearchConfig config;
+    config.max_cost = 9;
+    TopologySearchBackend classify(library3(), config);
+    Rng rng(9);
+    std::vector<perm::Permutation> out;
+    while (out.size() < 12) {
+      std::vector<std::uint32_t> images = {1, 2, 3, 4, 5, 6, 7, 8};
+      for (std::size_t i = 7; i > 1; --i) {
+        std::swap(images[i], images[1 + rng.below(i)]);
+      }
+      const auto core = perm::Permutation::from_images(std::move(images));
+      if (closure7().find(core)) continue;
+      const auto answer = classify.locate(core);
+      if (answer.has_value() && answer->cost == 9) out.push_back(core);
+    }
+    return out;
+  }();
+  return sample;
+}
+
+class SearchCost9 : public SearchExactness {};
+
+TEST_P(SearchCost9, SampleAnswersAtNineAndMissesAtEight) {
+  TopologySearchBackend search(library3(), config(9));
+  TopologySearchBackend shallow(library3(), config(8));
+  for (const perm::Permutation& core : cost9_sample()) {
+    const perm::Permutation target = not_layer3(5) * core;
+    SCOPED_TRACE("target " + target.to_cycle_string());
+    const auto result = search.synthesize(target);
+    expect_realizes(result, target, 9);
+    EXPECT_TRUE(sim::realizes_permutation(result->circuit, target));
+    EXPECT_FALSE(shallow.locate(target).has_value());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TableDepths, SearchCost9,
+                         ::testing::Values(kFullTable, kTableToDepth4),
+                         budget_name);
+
+// ---------------------------------------------------------------------------
+// History independence: an answer is a pure function of (target, library,
+// config). synth_queries in qbench fails an op whose answer differs from an
+// earlier one, and its self-test requires the search counters to repeat.
+
+std::vector<perm::Permutation> history_targets() {
+  const auto not_a = not_layer3(4);
+  std::vector<perm::Permutation> targets = {
+      g2_perm(), peres_perm(), not_a * toffoli_perm(), swap_bc_perm(),
+      g4_perm(), toffoli_perm()};
+  for (unsigned k = 5; k <= 7; ++k) {
+    for (const auto& member : spaced_sample(closure7().g_set(k), 3)) {
+      targets.push_back(member);
+    }
+  }
+  for (const auto& core : spaced_sample(cost8_cores(), 3)) {
+    targets.push_back(not_layer3(6) * core);
+  }
+  return targets;
+}
+
+TEST(SearchHistory, AnswersDoNotDependOnEarlierQueries) {
+  const std::vector<perm::Permutation> targets = history_targets();
+  for (const std::size_t budget :
+       {SearchConfig{}.visited_budget_bytes, kDepth4Budget}) {
+    SearchConfig config;
+    config.max_cost = 8;
+    config.visited_budget_bytes = budget;
+    TopologySearchBackend in_order(library3(), config);
+    TopologySearchBackend reversed(library3(), config);
+    TopologySearchBackend batched(library3(), config);
+    TopologySearchBackend warmed(library3(), config);
+    // Warm-up: a cost-8 query grows the table as far as it will go.
+    (void)warmed.synthesize(cost8_cores().back());
+
+    std::vector<std::optional<SynthesisResult>> expected;
+    for (const auto& target : targets) {
+      expected.push_back(in_order.synthesize(target));
+    }
+    std::vector<std::optional<SynthesisResult>> backwards(targets.size());
+    for (std::size_t i = targets.size(); i-- > 0;) {
+      backwards[i] = reversed.synthesize(targets[i]);
+    }
+    const auto batch = batched.synthesize_batch(targets);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " target " +
+                   targets[i].to_cycle_string());
+      ASSERT_TRUE(expected[i].has_value());
+      EXPECT_TRUE(sim::realizes_permutation(expected[i]->circuit, targets[i]));
+      ASSERT_TRUE(backwards[i].has_value() && batch[i].has_value());
+      EXPECT_EQ(backwards[i]->circuit, expected[i]->circuit);
+      EXPECT_EQ(batch[i]->circuit, expected[i]->circuit);
+      const auto again = warmed.synthesize(targets[i]);
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(again->circuit, expected[i]->circuit);
+    }
+  }
+}
+
+TEST(SearchHistory, StatsRepeatOnFreshBackends) {
+  const std::vector<perm::Permutation> targets = history_targets();
+  SearchConfig config;
+  config.max_cost = 8;
+  TopologySearchBackend first(library3(), config);
+  TopologySearchBackend second(library3(), config);
+  for (const auto& target : targets) {
+    (void)first.synthesize(target);
+    (void)second.synthesize(target);
+  }
+  const SearchStats& a = first.stats();
+  const SearchStats& b = second.stats();
+  EXPECT_GT(a.nodes, 0u);
+  EXPECT_GT(a.leaves, 0u);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.leaves, b.leaves);
+  EXPECT_EQ(a.pruned_banned, b.pruned_banned);
+  EXPECT_EQ(a.pruned_adjoint, b.pruned_adjoint);
+  EXPECT_EQ(a.pruned_commuting, b.pruned_commuting);
+  EXPECT_EQ(a.pruned_visited, b.pruned_visited);
+  EXPECT_EQ(a.peak_memo_rows, b.peak_memo_rows);
+  EXPECT_EQ(a.deepest_iteration, b.deepest_iteration);
+  EXPECT_EQ(a.deepest_iteration, 8u);
+  EXPECT_EQ(a.peak_memo_rows, 20748u);  // the table through depth 7
+}
+
 // ---------------------------------------------------------------------------
 // 4 wires: spot check against the closure.
 
@@ -457,6 +817,28 @@ TEST(Backend4, SpotCheckCnotChainAgainstClosure) {
   shallow.max_cost = 2;
   TopologySearchBackend miss(library, shallow);
   EXPECT_FALSE(miss.synthesize(target).has_value());  // proves cost == 3
+}
+
+TEST(Backend4, SampleMatchesTheClosureWithAndWithoutTable) {
+  const gates::GateLibrary library = gates::GateLibrary::standard(4);
+  FmcfEnumerator closure(library);
+  closure.run_to(3);
+  for (const std::size_t budget : {SearchConfig{}.visited_budget_bytes,
+                                   std::size_t(1)}) {
+    SearchConfig config;
+    config.max_cost = 3;
+    config.visited_budget_bytes = budget;
+    TopologySearchBackend search(library, config);
+    for (unsigned k = 1; k <= 3; ++k) {
+      for (const perm::Permutation& member :
+           spaced_sample(closure.g_set(k), 24)) {
+        SCOPED_TRACE("budget " + std::to_string(budget) + " G[" +
+                     std::to_string(k) + "] member " +
+                     member.to_cycle_string());
+        expect_realizes(search.synthesize(member), member, k);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
