@@ -3,6 +3,7 @@
 // structural invariants the whole reduction rests on.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -171,6 +172,10 @@ struct NamedCircuit {
   const char* cascade;
   const char* perm_cycles;
 };
+
+// Printed as its figure name: gtest's default prints the pointer bytes, which
+// ASLR changes on every run, and the printed value is part of the ctest name.
+void PrintTo(const NamedCircuit& c, std::ostream* os) { *os << c.name; }
 
 class PaperCircuit : public ::testing::TestWithParam<NamedCircuit> {};
 

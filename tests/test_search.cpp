@@ -13,6 +13,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -573,6 +574,12 @@ struct TableBudget {
   std::size_t per_level;
   std::size_t cost8_cores;
 };
+
+// Printed as its name: the default prints the name pointer's bytes, which
+// ASLR changes on every run, and the printed value is part of the ctest name.
+void PrintTo(const TableBudget& budget, std::ostream* os) {
+  *os << budget.name;
+}
 
 std::string budget_name(const ::testing::TestParamInfo<TableBudget>& info) {
   return info.param.name;
